@@ -1,4 +1,4 @@
-//! Shared command-line parsing for every experiment binary.
+//! Shared command-line parsing for the `xui` CLI and the tool binaries.
 //!
 //! Before this module each binary hand-rolled its own `std::env::args()`
 //! scan, and a misspelled flag (`--bench-mata`, `--trave out.json`) was
@@ -132,7 +132,7 @@ impl CliSpec {
         }
     }
 
-    /// The spec every sweep-driven experiment binary shares:
+    /// The flags every sweep-driven experiment run shares:
     /// `--bench-meta`, `--metrics`, `--trace <path>`, `--threads <n>`.
     #[must_use]
     pub fn bench(bin: impl Into<String>, about: impl Into<String>) -> Self {
@@ -140,7 +140,7 @@ impl CliSpec {
             .flag("--bench-meta", "time the sweep serial vs parallel into results/BENCH_sweep.json")
             .flag("--metrics", "save a merged metrics snapshot under results/")
             .option("--trace", "PATH", "write a Chrome trace JSON to PATH")
-            .option("--threads", "N", "sweep worker threads (overrides XUI_BENCH_THREADS)")
+            .option("--threads", "N", "sweep worker threads (default: all cores)")
     }
 
     /// Declares a boolean flag.

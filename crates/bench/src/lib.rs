@@ -1,10 +1,11 @@
 //! # xui-bench
 //!
-//! The benchmark harness of the xUI reproduction: one binary per paper
-//! table/figure (see `src/bin/`), plus Criterion micro-benchmarks of the
-//! hot paths (`benches/hotpaths.rs`). This library crate holds shared
-//! reporting helpers: aligned-table printing and JSON result persistence
-//! under `results/`.
+//! The benchmark harness of the xUI reproduction: the deterministic
+//! sweep executor and strict flag parser behind `xui run <preset>`, the
+//! `des_capacity` tool (`src/bin/`), and Criterion micro-benchmarks of
+//! the hot paths (`benches/hotpaths.rs`). This library crate also holds
+//! shared reporting helpers: aligned-table printing and JSON result
+//! persistence under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ pub struct BenchOpts {
     /// Time the sweep serial vs parallel and record
     /// `results/BENCH_sweep.json`.
     pub bench_meta: bool,
-    /// Explicit worker-thread override (else `XUI_BENCH_THREADS`/host).
+    /// Explicit worker-thread override (else the host's parallelism).
     pub threads: Option<usize>,
     /// Where to write a Chrome trace JSON, for experiments that support it.
     pub trace: Option<PathBuf>,
@@ -133,7 +134,7 @@ pub fn save_json<T: Serialize>(id: &str, value: &T) {
 }
 
 /// Wall-clock record written to `results/BENCH_sweep.json` when a figure
-/// binary runs with `--bench-meta`: the same sweep executed serially
+/// preset runs with `--bench-meta`: the same sweep executed serially
 /// (1 worker) and with the parallel pool, plus a byte-identity check of
 /// the two result sets.
 #[derive(Debug, Clone, Serialize)]
@@ -144,7 +145,7 @@ pub struct BenchMeta {
     pub points: usize,
     /// Parallel worker count used.
     pub threads: usize,
-    /// Host's available parallelism (what `XUI_BENCH_THREADS` defaults to).
+    /// Host's available parallelism (the default worker count).
     pub host_parallelism: usize,
     /// Cumulative serial wall-clock, milliseconds.
     pub serial_ms: f64,
@@ -155,7 +156,7 @@ pub struct BenchMeta {
     /// Whether serial and parallel results serialized byte-identically.
     pub identical: bool,
     /// Wall-clock of a representative point run with `NullRecorder`
-    /// telemetry, milliseconds (set by figure binaries that measure
+    /// telemetry, milliseconds (set by figure presets that measure
     /// telemetry overhead).
     pub telemetry_null_ms: Option<f64>,
     /// Same point run with an active `RingRecorder`, milliseconds.
@@ -173,7 +174,7 @@ pub struct BenchMeta {
 /// process, so binaries with several sweeps report whole-binary totals.
 static BENCH_META: Mutex<Option<BenchMeta>> = Mutex::new(None);
 
-/// Runs a figure binary's sweep under explicit [`BenchOpts`].
+/// Runs a figure preset's sweep under explicit [`BenchOpts`].
 ///
 /// Normally this is just [`Sweep::run`]: evaluate every point on the
 /// worker pool, return results in point order. With `bench_meta` set, the
@@ -392,7 +393,7 @@ mod tests {
     }
 }
 
-/// A minimal ASCII line/series chart for figure binaries: one or more
+/// A minimal ASCII line/series chart for figure presets: one or more
 /// named series over a shared numeric x-axis, rendered as rows of bars so
 /// trends are visible directly in terminal output.
 #[derive(Debug, Clone, Default)]

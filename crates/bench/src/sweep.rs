@@ -1,10 +1,10 @@
 //! Deterministic parallel sweep execution.
 //!
-//! Every figure/ablation binary in this crate enumerates a grid of
-//! independent sweep points (a workload × a load level × a mechanism, …),
-//! evaluates each point, and prints a table. [`Sweep`] runs those points
-//! across a fixed-size scoped worker pool while keeping the output
-//! **bit-identical to a serial run**:
+//! Every figure/ablation experiment (`xui run <preset>`) enumerates a
+//! grid of independent sweep points (a workload × a load level × a
+//! mechanism, …), evaluates each point, and prints a table. [`Sweep`]
+//! runs those points across a fixed-size scoped worker pool while
+//! keeping the output **bit-identical to a serial run**:
 //!
 //! - points are enumerated up front in a fixed order;
 //! - each point's RNG seed is derived only from the sweep's base seed and
@@ -13,17 +13,14 @@
 //! - results are reassembled in point order before anything is printed or
 //!   saved.
 //!
-//! The worker count comes from the `XUI_BENCH_THREADS` environment
-//! variable (default: `std::thread::available_parallelism`), so
-//! `XUI_BENCH_THREADS=1` and `XUI_BENCH_THREADS=64` produce byte-identical
-//! stdout and `results/*.json` artifacts.
+//! The worker count comes from the caller (`xui run --threads N`; default:
+//! `std::thread::available_parallelism`), so `--threads 1` and
+//! `--threads 64` produce byte-identical stdout and `results/*.json`
+//! artifacts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Environment variable overriding the worker-pool size.
-pub const THREADS_ENV: &str = "XUI_BENCH_THREADS";
 
 /// Default base seed for sweeps that don't set one (arbitrary constant,
 /// frozen for reproducibility).
@@ -47,21 +44,14 @@ pub fn derive_seed(base_seed: u64, index: usize) -> u64 {
     rand::splitmix64(&mut s)
 }
 
-/// Resolves the worker-pool size: explicit override, else
-/// `XUI_BENCH_THREADS`, else available parallelism.
+/// Resolves the worker-pool size: explicit override, else available
+/// parallelism.
 #[must_use]
 pub fn worker_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    explicit.map_or_else(
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        |n| n.max(1),
+    )
 }
 
 /// Timing/shape statistics from one sweep execution.
@@ -112,8 +102,8 @@ impl<P: Sync> Sweep<P> {
         self
     }
 
-    /// Overrides the worker count (otherwise `XUI_BENCH_THREADS` /
-    /// available parallelism decides).
+    /// Overrides the worker count (otherwise available parallelism
+    /// decides).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n.max(1));
@@ -150,9 +140,9 @@ impl<P: Sync> Sweep<P> {
         self.run_with(worker_threads(self.threads), f)
     }
 
-    /// Runs the sweep with an explicit worker count, ignoring both the
-    /// builder override and `XUI_BENCH_THREADS` (used by `--bench-meta`
-    /// to time serial vs parallel executions of the same sweep).
+    /// Runs the sweep with an explicit worker count, ignoring the
+    /// builder override (used by `--bench-meta` to time serial vs
+    /// parallel executions of the same sweep).
     pub fn run_with<R, F>(&self, threads: usize, f: F) -> (Vec<R>, SweepStats)
     where
         R: Send,

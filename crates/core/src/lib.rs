@@ -45,7 +45,6 @@ pub mod kb_timer;
 pub mod model;
 pub mod msr;
 pub mod receiver;
-pub mod safepoint;
 pub mod sender;
 pub mod uif;
 pub mod uirr;

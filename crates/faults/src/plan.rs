@@ -5,7 +5,7 @@
 //! and carries its own seed, so a failure schedule is replayable from
 //! `(seed, plan)` alone: the same plan driven by the same simulation
 //! clock produces bit-identical injections on every run, host and
-//! `XUI_BENCH_THREADS` setting. The interpreter lives in
+//! worker-thread count. The interpreter lives in
 //! [`crate::inject::FaultInjector`].
 
 use serde::{Deserialize, Serialize};

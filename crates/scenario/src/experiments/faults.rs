@@ -4,7 +4,7 @@
 //! checks the four delivery invariants over the resulting traces.
 //!
 //! Every scenario is pure `(seed, plan)` — rerunning (at any
-//! `XUI_BENCH_THREADS`) produces identical bytes.
+//! `--threads`) produces identical bytes.
 
 use serde::Serialize;
 

@@ -6,7 +6,7 @@
 //! Schedules run on the deterministic sweep pool: seeds derive only from
 //! the base seed and the point index, and results are reassembled in
 //! point order, so stdout and the emitted JSON are byte-identical for
-//! any `XUI_BENCH_THREADS`.
+//! any `--threads`.
 
 use serde::Serialize;
 

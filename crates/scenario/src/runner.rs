@@ -1,8 +1,8 @@
 //! Executes a [`Scenario`]: validates it, checks the telemetry request
 //! against the scenario's capabilities, prints the banner, dispatches to
 //! the experiment implementation, and collects every JSON artifact the
-//! run produces (optionally also saving them under `results/`, exactly
-//! like the per-experiment binaries always have).
+//! run produces (optionally also saving them under `results/`, as
+//! `xui run` does).
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -4,7 +4,7 @@
 //! Timestamps are always *virtual* — cycle counts from the pipeline
 //! simulator or DES nanos/ticks from the discrete-event experiments —
 //! never wall-clock, so traces are byte-reproducible across runs, hosts
-//! and `XUI_BENCH_THREADS` settings.
+//! and worker-thread counts.
 
 /// Maximum number of key–value arguments an event can carry inline.
 pub const MAX_ARGS: usize = 2;

@@ -6,7 +6,7 @@
 //! - **Events are virtual-time only.** Every [`Event`] carries a cycle or
 //!   DES-tick timestamp from the simulation clock, never wall-clock, so
 //!   traces and metrics are byte-reproducible across runs, machines and
-//!   `XUI_BENCH_THREADS` settings.
+//!   worker-thread counts.
 //! - **Zero cost when off.** Instrumented code is generic over
 //!   [`Recorder`]; with [`NullRecorder`] the `enabled()` check is a
 //!   compile-time `false` and the whole call site folds away.
@@ -30,7 +30,7 @@
 //! ```
 //!
 //! See `docs/TELEMETRY.md` for the event-name taxonomy and how the
-//! figure binaries expose this through `--trace` / `--metrics`.
+//! `xui run <preset>` exposes this through `--trace` / `--metrics`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

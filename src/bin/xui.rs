@@ -12,8 +12,9 @@
 //! Each subcommand parses its *own* flag set strictly — `xui show
 //! --threads 4` is a usage error (exit 2), not a silently ignored
 //! run-only flag. `run` takes the shared bench flags (`--threads`,
-//! `--trace`, `--metrics`, `--bench-meta`), `--faults <plan.json>`, and
-//! the fuzzer's corpus overrides (`--full`/`--sim`/`--seed`). `sweep`
+//! `--trace`, `--metrics`, `--bench-meta`), `--faults <plan.json>`,
+//! `--seed`, and the fuzzer's corpus sizes (`--full`/`--sim`, a usage
+//! error on any other scenario). `sweep`
 //! expands a sweep spec (see `docs/SCENARIOS.md`) into named points,
 //! fans them across a worker pool, and with `--shard I/N` runs only the
 //! points whose name hashes into shard I; `--merge` reassembles shard
@@ -59,7 +60,7 @@ fn spec_for(command: &str) -> Option<CliSpec> {
                 .option("--faults", "PLAN", "run with a fault plan JSON file (fig7/fig8 scenarios)")
                 .option("--full", "N", "oracle_fuzz: full-alphabet schedules (default 10000)")
                 .option("--sim", "N", "oracle_fuzz: sim-class schedules (default 1000)")
-                .option("--seed", "S", "oracle_fuzz: base seed (default frozen)"),
+                .option("--seed", "S", "base seed (default: the scenario's frozen seed)"),
         ),
         "sweep" => Some(
             CliSpec::new("xui sweep", "expand a parameter grid and run every point")
@@ -170,22 +171,19 @@ fn cmd_run(parsed: &Parsed, spec: &CliSpec) {
             Err(e) => config_exit(format!("invalid fault plan `{path}`: {e}")),
         }
     }
-    let overrides = (|| -> Result<(), xui_bench::CliError> {
-        if let Experiment::OracleFuzz { full, sim } = &mut sc.experiment {
-            if let Some(n) = parsed.opt_u64("--full")? {
-                *full = n;
-            }
-            if let Some(n) = parsed.opt_u64("--sim")? {
-                *sim = n;
-            }
+    let num = |name| parsed.opt_u64(name).unwrap_or_else(|e| usage_exit(e, spec));
+    if let Experiment::OracleFuzz { full, sim } = &mut sc.experiment {
+        if let Some(n) = num("--full") {
+            *full = n;
         }
-        if let Some(s) = parsed.opt_u64("--seed")? {
-            sc.base_seed = Some(s);
+        if let Some(n) = num("--sim") {
+            *sim = n;
         }
-        Ok(())
-    })();
-    if let Err(e) = overrides {
-        usage_exit(e, spec);
+    } else if let Some(flag) = ["--full", "--sim"].into_iter().find(|f| parsed.opt(f).is_some()) {
+        usage_exit(format!("`{flag}` applies only to oracle_fuzz scenarios"), spec);
+    }
+    if let Some(s) = num("--seed") {
+        sc.base_seed = Some(s);
     }
     match runner::run(&sc, &RunOptions { bench, save: true, ..RunOptions::default() }) {
         Ok(report) if report.passed => {}

@@ -157,3 +157,63 @@ fn sweep_rejects_malformed_shards() {
         assert!(stderr(&out).contains("invalid shard"), "--shard {bad}: {}", stderr(&out));
     }
 }
+
+#[test]
+fn misspelled_flag_exits_2_with_named_flag_and_usage() {
+    let out = xui(&["run", "fig6_timer_core", "--bench-mata"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("unknown flag `--bench-mata`"), "{err}");
+    assert!(err.contains("usage: xui run"), "{err}");
+}
+
+#[test]
+fn trace_without_value_exits_2() {
+    let out = xui(&["run", "fig6_timer_core", "--trace"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("requires a value"), "{}", stderr(&out));
+}
+
+#[test]
+fn run_help_lists_every_run_flag() {
+    let out = xui(&["run", "--help"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let body = String::from_utf8_lossy(&out.stdout);
+    for needle in [
+        "--bench-meta",
+        "--metrics",
+        "--trace <PATH>",
+        "--threads <N>",
+        "--full <N>",
+        "--sim <N>",
+        "--seed <S>",
+    ] {
+        assert!(body.contains(needle), "help missing {needle}: {body}");
+    }
+}
+
+#[test]
+fn corpus_flags_on_a_non_oracle_scenario_exit_2_with_usage() {
+    // Regression: `xui run` used to accept `--full`/`--sim` for every
+    // scenario and silently ignore them outside `oracle_fuzz`.
+    for flag in ["--full", "--sim"] {
+        let out = xui(&["run", "table2_uipi_metrics", flag, "3"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("`{flag}` applies only to oracle_fuzz")), "{err}");
+        assert!(err.contains("usage: xui run"), "{err}");
+    }
+}
+
+#[test]
+fn thread_count_does_not_change_stdout() {
+    let serial = xui(&["run", "fig6_timer_core", "--threads", "1"]);
+    let parallel = xui(&["run", "fig6_timer_core", "--threads", "4"]);
+    assert_eq!(serial.status.code(), Some(0), "stderr: {}", stderr(&serial));
+    assert_eq!(parallel.status.code(), Some(0), "stderr: {}", stderr(&parallel));
+    assert!(!serial.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&parallel.stdout)
+    );
+}
