@@ -16,7 +16,7 @@ use xui_net::traffic::paper_route_table;
 use xui_sim::config::SystemConfig;
 use xui_sim::isa::{AluKind, Inst, Op, Operand, Reg};
 use xui_sim::{Device, Program, System};
-use xui_telemetry::NullRecorder;
+use xui_telemetry::{NullRecorder, RingRecorder};
 
 fn bench_lpm_lookup(c: &mut Criterion) {
     let routes = paper_route_table(1);
@@ -188,17 +188,26 @@ fn bench_halted_bulk_skip(c: &mut Criterion) {
     });
 }
 
-fn bench_timer_core_null_telemetry(c: &mut Criterion) {
+fn bench_timer_core_telemetry(c: &mut Criterion) {
     // The ≤1% guard for disabled telemetry: `run` (which internally
     // delegates through the traced path with a NullRecorder) versus an
     // explicit `run_traced(&mut NullRecorder)` must be indistinguishable
-    // from each other — the NullRecorder monomorphizes to nothing.
+    // from each other — the NullRecorder monomorphizes to nothing. The
+    // ring-recorder run prices enabled telemetry: its time over the
+    // null-recorder run is the Ring-vs-Null ratio in docs/TELEMETRY.md.
     let sim = TimerCoreSim::new(TimeSource::Setitimer, 10_000, 8);
     c.bench_function("timer_core_10k_ticks_untraced", |b| {
         b.iter(|| black_box(sim.run(black_box(10_000))))
     });
     c.bench_function("timer_core_10k_ticks_null_recorder", |b| {
         b.iter(|| black_box(sim.run_traced(black_box(10_000), &mut NullRecorder)))
+    });
+    let mut rec = RingRecorder::new(128 * 1024);
+    c.bench_function("timer_core_10k_ticks_ring_recorder", |b| {
+        b.iter(|| {
+            rec.clear();
+            black_box(sim.run_traced(black_box(10_000), &mut rec))
+        })
     });
 }
 
@@ -208,6 +217,6 @@ criterion_group! {
     targets = bench_lpm_lookup, bench_event_engine, bench_event_engine_churn,
               bench_histogram, bench_pipeline, bench_protocol_send_deliver,
               bench_cycle_sim_senduipi, bench_halted_bulk_skip,
-              bench_timer_core_null_telemetry
+              bench_timer_core_telemetry
 }
 criterion_main!(benches);

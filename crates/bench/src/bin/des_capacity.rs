@@ -13,16 +13,15 @@
 //! same draws → same (time, seq) order), so `executed` and the final
 //! `now` must agree between queue kinds; the binary asserts this.
 //!
-//! Results land in the `des_capacity` section of
-//! `results/BENCH_sweep.json` via [`xui_bench::record_des_capacity`].
-//! `--min-speedup` turns the tiered-vs-heap ratio into an exit code for
-//! CI; `--budget-ms` bounds total wall-clock the same way.
+//! The binary prints its table and persists nothing. `--min-speedup`
+//! turns the tiered-vs-heap ratio into an exit code for CI;
+//! `--budget-ms` bounds total wall-clock the same way.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xui_bench::{CapacityRow, CliSpec, Table};
+use xui_bench::{CliSpec, Table};
 use xui_des::{Engine, QueueKind};
 
 /// Mean inter-event gap in ticks. Any positive value works; 1000 keeps
@@ -54,6 +53,25 @@ fn tick(state: &mut Hold, engine: &mut Engine<Hold>) {
     engine.schedule_in(gap, tick);
 }
 
+/// One (queue kind, pending count) point of the benchmark.
+struct CapacityRow {
+    /// Queue implementation (`heap` or `tiered`).
+    queue: &'static str,
+    pending: u64,
+    /// Events executed: the pre-load plus the timed drain.
+    executed: u64,
+    /// Wall-clock of the pre-load phase, milliseconds.
+    load_ms: f64,
+    /// Wall-clock of the timed drain, milliseconds.
+    run_ms: f64,
+    events_per_sec: f64,
+    /// Queue tier the engine finished in (`heap` or `calendar`).
+    final_tier: &'static str,
+    /// `events_per_sec` over the heap baseline's at the same pending
+    /// count (1.0 for the baseline itself).
+    speedup_vs_heap: f64,
+}
+
 /// Runs one (queue kind, pending count) point and returns the row plus
 /// the final virtual time (for the cross-kind identity check).
 fn run_point(kind: QueueKind, pending: u64, events: u64, seed: u64) -> (CapacityRow, u64) {
@@ -77,22 +95,22 @@ fn run_point(kind: QueueKind, pending: u64, events: u64, seed: u64) -> (Capacity
     assert_eq!(engine.executed(), pending + events, "hold model lost events");
     let row = CapacityRow {
         queue: match kind {
-            QueueKind::Heap => "heap".to_string(),
-            QueueKind::Tiered => "tiered".to_string(),
+            QueueKind::Heap => "heap",
+            QueueKind::Tiered => "tiered",
         },
         pending,
         executed: engine.executed(),
         load_ms,
         run_ms,
         events_per_sec: engine.executed() as f64 / (run_ms / 1e3),
-        final_tier: engine.queue_tier().to_string(),
+        final_tier: engine.queue_tier(),
         speedup_vs_heap: 1.0,
     };
     (row, engine.now())
 }
 
 fn main() {
-    let parsed = CliSpec::bench(
+    let parsed = CliSpec::new(
         "des_capacity",
         "Hold-model DES queue capacity benchmark: heap vs tiered calendar at large pending counts",
     )
@@ -107,10 +125,13 @@ fn main() {
         .opt("--pending")
         .unwrap_or("100000,1000000,10000000")
         .split(',')
-        .map(|s| s.trim().parse().unwrap_or_else(|_| {
-            eprintln!("des_capacity: bad --pending entry `{s}`");
-            std::process::exit(2);
-        }))
+        .map(|s| match s.trim().parse() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("des_capacity: bad --pending entry `{s}`: expected a positive integer");
+                std::process::exit(2);
+            }
+        })
         .collect();
     let u64_opt = |name: &str| {
         parsed.opt_u64(name).unwrap_or_else(|e| {
@@ -155,19 +176,17 @@ fn main() {
     ]);
     for r in &rows {
         table.row(vec![
-            r.queue.clone(),
+            r.queue.to_string(),
             r.pending.to_string(),
             format!("{:.1}", r.load_ms),
             format!("{:.1}", r.run_ms),
             format!("{:.2}M", r.events_per_sec / 1e6),
-            r.final_tier.clone(),
+            r.final_tier.to_string(),
             format!("{:.2}x", r.speedup_vs_heap),
         ]);
     }
     table.print();
     println!("\n  total wall-clock: {total_ms:.0} ms");
-
-    xui_bench::record_des_capacity(&rows);
 
     let mut failed = false;
     if let Some(budget) = budget_ms {

@@ -132,17 +132,6 @@ impl CliSpec {
         }
     }
 
-    /// The flags every sweep-driven experiment run shares:
-    /// `--bench-meta`, `--metrics`, `--trace <path>`, `--threads <n>`.
-    #[must_use]
-    pub fn bench(bin: impl Into<String>, about: impl Into<String>) -> Self {
-        Self::new(bin, about)
-            .flag("--bench-meta", "time the sweep serial vs parallel into results/BENCH_sweep.json")
-            .flag("--metrics", "save a merged metrics snapshot under results/")
-            .option("--trace", "PATH", "write a Chrome trace JSON to PATH")
-            .option("--threads", "N", "sweep worker threads (default: all cores)")
-    }
-
     /// Declares a boolean flag.
     #[must_use]
     pub fn flag(mut self, name: &str, help: &str) -> Self {
@@ -261,16 +250,20 @@ mod tests {
     use super::*;
 
     fn spec() -> CliSpec {
-        CliSpec::bench("fig_test", "test spec")
+        CliSpec::new("fig_test", "test spec")
+            .flag("--metrics", "save a metrics snapshot")
+            .flag("--verbose", "print more")
+            .option("--trace", "PATH", "write a trace to PATH")
+            .option("--threads", "N", "worker threads")
     }
 
     #[test]
     fn parses_shared_bench_flags() {
         let p = spec()
-            .parse_args(&["--bench-meta", "--trace", "out.json", "--threads=4"])
+            .parse_args(&["--metrics", "--trace", "out.json", "--threads=4"])
             .unwrap();
-        assert!(p.flag("--bench-meta"));
-        assert!(!p.flag("--metrics"));
+        assert!(p.flag("--metrics"));
+        assert!(!p.flag("--verbose"));
         assert_eq!(p.opt("--trace"), Some("out.json"));
         assert_eq!(p.opt_usize("--threads").unwrap(), Some(4));
     }
@@ -325,7 +318,7 @@ mod tests {
     #[test]
     fn usage_names_every_declared_flag() {
         let u = spec().usage();
-        for needle in ["--bench-meta", "--metrics", "--trace <PATH>", "--threads <N>"] {
+        for needle in ["--metrics", "--verbose", "--trace <PATH>", "--threads <N>"] {
             assert!(u.contains(needle), "usage missing {needle}: {u}");
         }
     }

@@ -16,7 +16,6 @@ pub mod timeline;
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use serde::Serialize;
 
@@ -25,13 +24,10 @@ pub use sweep::{Sweep, SweepCtx};
 pub use timeline::{reconstruct_fig2, Fig2Reconstruction};
 
 /// Options shared by every sweep-driven experiment: parsed once from the
-/// command line (see [`CliSpec::bench`]) or filled in programmatically by
-/// the scenario runner — never sniffed from `std::env::args` mid-run.
+/// `xui run` command line or filled in programmatically by the scenario
+/// runner — never sniffed from `std::env::args` mid-run.
 #[derive(Debug, Clone, Default)]
 pub struct BenchOpts {
-    /// Time the sweep serial vs parallel and record
-    /// `results/BENCH_sweep.json`.
-    pub bench_meta: bool,
     /// Explicit worker-thread override (else the host's parallelism).
     pub threads: Option<usize>,
     /// Where to write a Chrome trace JSON, for experiments that support it.
@@ -41,10 +37,10 @@ pub struct BenchOpts {
 }
 
 impl BenchOpts {
-    /// Builds options from the shared flags of a [`CliSpec::bench`] parse.
+    /// Builds options from the `--threads`, `--trace` and `--metrics`
+    /// flags of an `xui run` parse.
     pub fn from_parsed(p: &Parsed) -> Result<Self, CliError> {
         Ok(Self {
-            bench_meta: p.flag("--bench-meta"),
             threads: p.opt_usize("--threads")?,
             trace: p.opt("--trace").map(PathBuf::from),
             metrics: p.flag("--metrics"),
@@ -131,199 +127,6 @@ pub fn save_json<T: Serialize>(id: &str, value: &T) {
         let _ = fs::write(&path, json);
         println!("\n    [saved {}]", path.display());
     }
-}
-
-/// Wall-clock record written to `results/BENCH_sweep.json` when a figure
-/// preset runs with `--bench-meta`: the same sweep executed serially
-/// (1 worker) and with the parallel pool, plus a byte-identity check of
-/// the two result sets.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchMeta {
-    /// Binary/experiment id (first `run_sweep` call in the process).
-    pub bin: String,
-    /// Total sweep points across all `run_sweep` calls so far.
-    pub points: usize,
-    /// Parallel worker count used.
-    pub threads: usize,
-    /// Host's available parallelism (the default worker count).
-    pub host_parallelism: usize,
-    /// Cumulative serial wall-clock, milliseconds.
-    pub serial_ms: f64,
-    /// Cumulative parallel wall-clock, milliseconds.
-    pub parallel_ms: f64,
-    /// serial_ms / parallel_ms.
-    pub speedup: f64,
-    /// Whether serial and parallel results serialized byte-identically.
-    pub identical: bool,
-    /// Wall-clock of a representative point run with `NullRecorder`
-    /// telemetry, milliseconds (set by figure presets that measure
-    /// telemetry overhead).
-    pub telemetry_null_ms: Option<f64>,
-    /// Same point run with an active `RingRecorder`, milliseconds.
-    pub telemetry_ring_ms: Option<f64>,
-    /// Wall-clock ratio of the ring run to the null run
-    /// (`ring_ms / null_ms`): 1.0 means free, 7.0 means the traced run
-    /// costs 7× the untraced one. This replaces the earlier
-    /// `telemetry_overhead_pct` field, which printed the same
-    /// measurement as a percentage and was routinely misread as a
-    /// per-event overhead (a 7× ratio showed up as "604%").
-    pub telemetry_ring_vs_null_ratio: Option<f64>,
-}
-
-/// Accumulates `--bench-meta` timings across every `run_sweep` call in the
-/// process, so binaries with several sweeps report whole-binary totals.
-static BENCH_META: Mutex<Option<BenchMeta>> = Mutex::new(None);
-
-/// Runs a figure preset's sweep under explicit [`BenchOpts`].
-///
-/// Normally this is just [`Sweep::run`]: evaluate every point on the
-/// worker pool, return results in point order. With `bench_meta` set, the
-/// sweep is executed twice — once with 1 worker, once with the parallel
-/// pool — the two result sets are checked for byte-identical
-/// serialization, and cumulative wall-clock numbers are written to
-/// `results/BENCH_sweep.json`.
-pub fn run_sweep<P, R, F>(bin: &str, s: Sweep<P>, opts: &BenchOpts, f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send + Serialize,
-    F: Fn(&P, SweepCtx) -> R + Sync,
-{
-    let s = match opts.threads {
-        Some(n) => s.threads(n),
-        None => s,
-    };
-    if !opts.bench_meta {
-        return s.run(f);
-    }
-
-    let (serial, serial_stats) = s.run_with(1, &f);
-    let threads = sweep::worker_threads(opts.threads);
-    let (parallel, parallel_stats) = s.run_with(threads, &f);
-    let identical = serde_json::to_string(&serial).ok() == serde_json::to_string(&parallel).ok();
-
-    let mut guard = BENCH_META.lock().expect("bench meta lock");
-    let meta = guard.get_or_insert_with(|| BenchMeta {
-        bin: bin.to_string(),
-        points: 0,
-        threads,
-        host_parallelism: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
-        serial_ms: 0.0,
-        parallel_ms: 0.0,
-        speedup: 1.0,
-        identical: true,
-        telemetry_null_ms: None,
-        telemetry_ring_ms: None,
-        telemetry_ring_vs_null_ratio: None,
-    });
-    meta.points += serial_stats.points;
-    meta.serial_ms += serial_stats.elapsed.as_secs_f64() * 1e3;
-    meta.parallel_ms += parallel_stats.elapsed.as_secs_f64() * 1e3;
-    meta.speedup = if meta.parallel_ms > 0.0 {
-        meta.serial_ms / meta.parallel_ms
-    } else {
-        1.0
-    };
-    meta.identical &= identical;
-    merge_bench_sweep(meta.to_value());
-
-    parallel
-}
-
-/// Records the telemetry-overhead measurement (one representative point
-/// run with `NullRecorder` vs `RingRecorder`) into the cumulative
-/// `--bench-meta` record and re-saves `results/BENCH_sweep.json`. No-op
-/// (but still computed by the caller) when `--bench-meta` is off and no
-/// record exists yet — in that case a fresh record is created so the
-/// numbers are not lost.
-pub fn record_telemetry_overhead(bin: &str, null_ms: f64, ring_ms: f64) {
-    let mut guard = BENCH_META.lock().expect("bench meta lock");
-    let meta = guard.get_or_insert_with(|| BenchMeta {
-        bin: bin.to_string(),
-        points: 0,
-        threads: sweep::worker_threads(None),
-        host_parallelism: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
-        serial_ms: 0.0,
-        parallel_ms: 0.0,
-        speedup: 1.0,
-        identical: true,
-        telemetry_null_ms: None,
-        telemetry_ring_ms: None,
-        telemetry_ring_vs_null_ratio: None,
-    });
-    meta.telemetry_null_ms = Some(null_ms);
-    meta.telemetry_ring_ms = Some(ring_ms);
-    meta.telemetry_ring_vs_null_ratio =
-        if null_ms > 0.0 { Some(ring_ms / null_ms) } else { None };
-    merge_bench_sweep(meta.to_value());
-}
-
-/// One point of the DES capacity benchmark (`des_capacity`): a given
-/// queue implementation loaded with `pending` events and drained under
-/// a hold-model workload.
-#[derive(Debug, Clone, Serialize)]
-pub struct CapacityRow {
-    /// Queue implementation (`heap` or `tiered`).
-    pub queue: String,
-    /// Pending events pre-loaded before the drain.
-    pub pending: u64,
-    /// Events executed during the timed drain.
-    pub executed: u64,
-    /// Wall-clock of the pre-load phase, milliseconds.
-    pub load_ms: f64,
-    /// Wall-clock of the timed drain, milliseconds.
-    pub run_ms: f64,
-    /// Drain throughput in events per second.
-    pub events_per_sec: f64,
-    /// Queue tier the engine finished in (`heap` or `calendar`).
-    pub final_tier: String,
-    /// This row's `events_per_sec` over the heap baseline's at the same
-    /// pending count (1.0 for the baseline itself).
-    pub speedup_vs_heap: f64,
-}
-
-/// Records the DES capacity rows into `results/BENCH_sweep.json`,
-/// preserving whatever `--bench-meta` record another binary already
-/// wrote there (and vice versa — the sweep-meta writers keep these
-/// rows).
-pub fn record_des_capacity(rows: &[CapacityRow]) {
-    record_bench_section("des_capacity", &rows);
-}
-
-/// Merges `value` into `results/BENCH_sweep.json` under the top-level
-/// `key`, preserving every other writer's section (sweep meta, the
-/// telemetry timings, `des_capacity`, the serve load report, ...). This
-/// is the one write path for that shared file — use it instead of
-/// `save_json` whenever a binary contributes a section.
-pub fn record_bench_section<T: Serialize>(key: &str, value: &T) {
-    merge_bench_sweep(serde::Value::Object(vec![(key.to_string(), value.to_value())]));
-}
-
-/// Merges `patch`'s top-level keys into `results/BENCH_sweep.json`.
-/// The file is shared by several writers in different processes (sweep
-/// meta from any `--bench-meta` run, telemetry timing from fig6, the
-/// `des_capacity` rows), so a plain overwrite would drop the other
-/// writers' sections.
-fn merge_bench_sweep(patch: serde::Value) {
-    use serde::Value;
-    let path = PathBuf::from("results").join("BENCH_sweep.json");
-    let mut entries = match fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| serde_json::value_from_str(&text).ok())
-    {
-        Some(Value::Object(entries)) => entries,
-        _ => Vec::new(),
-    };
-    if let Value::Object(patch) = patch {
-        for (key, val) in patch {
-            match entries.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = val,
-                None => entries.push((key, val)),
-            }
-        }
-    }
-    save_json("BENCH_sweep", &Value::Object(entries));
 }
 
 /// Writes a single-group Chrome trace to `path` (best effort, with a

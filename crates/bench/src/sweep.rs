@@ -20,7 +20,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Default base seed for sweeps that don't set one (arbitrary constant,
 /// frozen for reproducibility).
@@ -54,17 +53,6 @@ pub fn worker_threads(explicit: Option<usize>) -> usize {
     )
 }
 
-/// Timing/shape statistics from one sweep execution.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepStats {
-    /// Number of points evaluated.
-    pub points: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock time for the whole sweep.
-    pub elapsed: Duration,
-}
-
 /// A deterministic sweep over independent points.
 ///
 /// # Examples
@@ -73,7 +61,7 @@ pub struct SweepStats {
 /// use xui_bench::sweep::Sweep;
 ///
 /// let squares = Sweep::new((0u64..8).collect::<Vec<_>>())
-///     .threads(4)
+///     .threads(Some(4))
 ///     .run(|&p, _ctx| p * p);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
@@ -102,11 +90,11 @@ impl<P: Sync> Sweep<P> {
         self
     }
 
-    /// Overrides the worker count (otherwise available parallelism
-    /// decides).
+    /// Sets the worker-count override; `None` leaves the choice to
+    /// [`worker_threads`] (available parallelism).
     #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+    pub fn threads(mut self, n: Option<usize>) -> Self {
+        self.threads = n;
         self
     }
 
@@ -128,31 +116,9 @@ impl<P: Sync> Sweep<P> {
         R: Send,
         F: Fn(&P, SweepCtx) -> R + Sync,
     {
-        self.run_timed(f).0
-    }
-
-    /// Like [`Sweep::run`], additionally returning timing stats.
-    pub fn run_timed<R, F>(&self, f: F) -> (Vec<R>, SweepStats)
-    where
-        R: Send,
-        F: Fn(&P, SweepCtx) -> R + Sync,
-    {
-        self.run_with(worker_threads(self.threads), f)
-    }
-
-    /// Runs the sweep with an explicit worker count, ignoring the
-    /// builder override (used by `--bench-meta` to time serial vs
-    /// parallel executions of the same sweep).
-    pub fn run_with<R, F>(&self, threads: usize, f: F) -> (Vec<R>, SweepStats)
-    where
-        R: Send,
-        F: Fn(&P, SweepCtx) -> R + Sync,
-    {
         let n = self.points.len();
-        let threads = threads.max(1).min(n.max(1));
-        let start = Instant::now();
-
-        let results = if threads <= 1 {
+        let threads = worker_threads(self.threads).min(n.max(1));
+        if threads <= 1 {
             // Serial path: same enumeration, same seeds, no pool.
             self.points
                 .iter()
@@ -193,14 +159,7 @@ impl<P: Sync> Sweep<P> {
                 .into_iter()
                 .map(|slot| slot.expect("every sweep point was claimed by a worker"))
                 .collect()
-        };
-
-        let stats = SweepStats {
-            points: n,
-            threads,
-            elapsed: start.elapsed(),
-        };
-        (results, stats)
+        }
     }
 }
 
@@ -212,7 +171,7 @@ mod tests {
     fn results_come_back_in_point_order() {
         let points: Vec<u64> = (0..257).collect();
         let out = Sweep::new(points.clone())
-            .threads(8)
+            .threads(Some(8))
             .run(|&p, ctx| (ctx.index as u64, p * 3));
         for (i, &(idx, v)) in out.iter().enumerate() {
             assert_eq!(idx, i as u64);
@@ -223,10 +182,10 @@ mod tests {
     #[test]
     fn seeds_depend_only_on_base_and_index() {
         let serial = Sweep::new((0..64).collect::<Vec<u32>>())
-            .threads(1)
+            .threads(Some(1))
             .run(|_, ctx| ctx.seed);
         let parallel = Sweep::new((0..64).collect::<Vec<u32>>())
-            .threads(7)
+            .threads(Some(7))
             .run(|_, ctx| ctx.seed);
         assert_eq!(serial, parallel);
         // And they're spread out, not sequential.
@@ -250,14 +209,5 @@ mod tests {
     fn thread_count_respects_override_and_floor() {
         assert_eq!(worker_threads(Some(0)), 1);
         assert_eq!(worker_threads(Some(5)), 5);
-    }
-
-    #[test]
-    fn timed_run_reports_shape() {
-        let (_, stats) = Sweep::new((0..10).collect::<Vec<u32>>())
-            .threads(3)
-            .run_timed(|&p, _| p);
-        assert_eq!(stats.points, 10);
-        assert_eq!(stats.threads, 3);
     }
 }

@@ -20,8 +20,8 @@ where
     F: Fn(&P, xui_bench::SweepCtx) -> R + Sync,
 {
     let base = 0xD15C_0B5E_55ED_5EEDu64;
-    let serial = Sweep::new(points.clone()).base_seed(base).threads(1).run(&f);
-    let parallel = Sweep::new(points).base_seed(base).threads(4).run(&f);
+    let serial = Sweep::new(points.clone()).base_seed(base).threads(Some(1)).run(&f);
+    let parallel = Sweep::new(points).base_seed(base).threads(Some(4)).run(&f);
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&parallel).unwrap(),
@@ -94,7 +94,8 @@ fn des_experiment_parallel_matches_serial() {
 fn derived_seeds_are_stable() {
     let s = Sweep::new(vec![0u64; 4]).base_seed(7);
     let serial: Vec<u64> = s.run(|_, ctx| ctx.seed);
-    let parallel: Vec<u64> = Sweep::new(vec![0u64; 4]).base_seed(7).threads(4).run(|_, ctx| ctx.seed);
+    let parallel: Vec<u64> =
+        Sweep::new(vec![0u64; 4]).base_seed(7).threads(Some(4)).run(|_, ctx| ctx.seed);
     assert_eq!(serial, parallel);
     assert_eq!(serial.len(), 4);
     // All distinct (splitmix64 of distinct inputs).

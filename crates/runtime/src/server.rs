@@ -244,7 +244,7 @@ fn run_server_impl<R: Recorder>(
                 }
                 // Wake an idle worker.
                 if let Some(w) = workers.iter().position(|w| w.running.is_none()) {
-                    dispatch(w, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
+                    dispatch_at(w, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
                 }
                 if t < cfg.duration {
                     let next = arrivals.next_arrival(&mut rng).max(t + 1);
@@ -279,7 +279,7 @@ fn run_server_impl<R: Recorder>(
                             .with_arg("sojourn", sojourn),
                     );
                 }
-                dispatch(worker, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
+                dispatch_at(worker, t, &mut workers, &mut queue, &mut heap, &mut seq, &threads, rec);
             }
             Ev::Fire { worker } => {
                 // Fault injection on the interrupt path: the fire may be
@@ -423,20 +423,6 @@ fn run_server_impl<R: Recorder>(
         timer_faults,
         degraded_to_polling: guard.as_ref().is_some_and(DegradeGuard::degraded),
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch<R: Recorder>(
-    worker: usize,
-    t: u64,
-    workers: &mut [Worker],
-    queue: &mut StealQueues<usize>,
-    heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: &mut u64,
-    threads: &[Uthread],
-    rec: &mut R,
-) {
-    dispatch_at(worker, t, workers, queue, heap, seq, threads, rec);
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -189,8 +189,9 @@ struct World {
     peak_pending: usize,
 }
 
-/// SplitMix64: derives independent per-tenant sub-seeds.
-fn sub_seed(seed: u64, lane: u64) -> u64 {
+/// SplitMix64: derives independent per-lane sub-seeds (tenants here,
+/// interferers in [`crate::worstcase`]).
+pub(crate) fn sub_seed(seed: u64, lane: u64) -> u64 {
     let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

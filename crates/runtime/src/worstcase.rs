@@ -45,6 +45,8 @@ use xui_faults::{
 };
 use xui_telemetry::Event;
 
+use crate::tenants::sub_seed;
+
 /// The highest user vector — the high-criticality lane.
 pub const HIGH_VECTOR: u64 = 63;
 
@@ -229,14 +231,6 @@ pub struct WorstCaseReport {
 /// `base` inflated by `pct` percent (integer arithmetic; identity at 0).
 fn inflate(base: u64, pct: u64) -> u64 {
     base + base * pct / 100
-}
-
-/// SplitMix64 sub-seed derivation (same scheme as [`crate::tenants`]).
-fn sub_seed(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The receiver actor id in the telemetry stream.

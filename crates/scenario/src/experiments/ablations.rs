@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_kernel::PreemptMechanism;
 use xui_runtime::{run_server, ServerConfig};
 use xui_sim::config::{DeliveryStrategy, SystemConfig};
@@ -35,7 +35,7 @@ pub(crate) fn multiworker(
     sink: &mut Sink,
 ) {
     let points = worker_counts.to_vec();
-    let rows = run_sweep("ablation_multiworker", Sweep::new(points), bench, |&workers, _ctx| {
+    let rows = Sweep::new(points).threads(bench.threads).run(|&workers, _ctx| {
         let mut cfg = ServerConfig::paper(
             PreemptMechanism::XuiKbTimer,
             per_worker_krps * 1_000.0 * workers as f64,
@@ -111,10 +111,7 @@ pub(crate) fn polling_vs_tracked(
         .iter()
         .flat_map(|&spec| periods.iter().map(move |&p| (spec, p)))
         .collect();
-    let rows = run_sweep(
-        "ablation_polling_vs_tracked",
-        Sweep::new(points),
-        bench,
+    let rows = Sweep::new(points).threads(bench.threads).run(
         |&(spec, period), _ctx| {
             let plain = spec.build(Instrument::None);
             let polled = spec.build(Instrument::Poll { flag_addr: POLL_FLAG_ADDR });
@@ -208,7 +205,7 @@ pub(crate) fn strategies(
     let points = benchmarks.to_vec();
     let strategies = strategies.to_vec();
     let rows: Vec<StrategyRow> =
-        run_sweep("ablation_strategies", Sweep::new(points), bench, |named, _ctx| {
+        Sweep::new(points).threads(bench.threads).run(|named, _ctx| {
             let w = named.workload.build(Instrument::None);
             let base = run_workload(SystemConfig::uipi(), &w, IrqSource::None, max);
             strategies
@@ -300,7 +297,7 @@ pub(crate) fn window(
     let w = workload.build(Instrument::None);
 
     let points = scales.to_vec();
-    let rows = run_sweep("ablation_window", Sweep::new(points), bench, |&scale, _ctx| {
+    let rows = Sweep::new(points).threads(bench.threads).run(|&scale, _ctx| {
         let base_run =
             run_workload(scaled(SystemConfig::uipi(), scale), &w, IrqSource::None, max);
         let flush = run_workload(

@@ -8,7 +8,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_core::vectors::UserVector;
 use xui_faults::invariants::{EV_DELIVER, EV_IDLE, EV_POST};
 use xui_faults::{
@@ -388,7 +388,7 @@ fn run_scenario(name: &str) -> Outcome {
 pub(crate) fn run(scenarios: &[String], bench: &BenchOpts, sink: &mut Sink) -> bool {
     let names = scenarios.to_vec();
     let results =
-        run_sweep("faults_scenarios", Sweep::new(names), bench, |name, _ctx| run_scenario(name));
+        Sweep::new(names).threads(bench.threads).run(|name, _ctx| run_scenario(name));
 
     let mut table = Table::new(vec!["scenario", "kind", "eff", "deliv", "inv-viol", "pass"]);
     for o in &results {

@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
 use xui_workloads::programs::{Instrument, Workload, WorkloadSpec};
@@ -31,7 +31,7 @@ pub(crate) fn run(
     sink: &mut Sink,
 ) {
     let points: Vec<WorkloadSpec> = benchmarks.to_vec();
-    let rows = run_sweep("fig4_receiver_overhead", Sweep::new(points), bench, |spec, _ctx| {
+    let rows = Sweep::new(points).threads(bench.threads).run(|spec, _ctx| {
         let w: Workload = spec.build(Instrument::None);
         let base = run_workload(SystemConfig::uipi(), &w, IrqSource::None, max);
         let uipi = run_workload(

@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, AsciiChart, BenchOpts, Sweep, Table};
+use xui_bench::{AsciiChart, BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, run_workload_with, IrqSource};
 use xui_workloads::programs::{Instrument, WorkloadSpec, POLL_FLAG_ADDR};
@@ -31,7 +31,7 @@ pub(crate) fn run(
     // the quantum sweep for that benchmark, so it lives inside the point.
     let points: Vec<WorkloadSpec> = benchmarks.to_vec();
     let quanta = quanta_us.to_vec();
-    let rows: Vec<Row> = run_sweep("fig5_safepoints", Sweep::new(points), bench, |spec, _ctx| {
+    let rows: Vec<Row> = Sweep::new(points).threads(bench.threads).run(|spec, _ctx| {
         let plain = spec.build(Instrument::None);
         let polled = spec.build(Instrument::Poll { flag_addr: POLL_FLAG_ADDR });
         let safep = spec.build(Instrument::Safepoint);

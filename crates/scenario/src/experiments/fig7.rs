@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
 use xui_kernel::PreemptMechanism;
 use xui_runtime::server::run_server_faulted;
@@ -42,7 +42,7 @@ pub(crate) fn run(
         .iter()
         .flat_map(|&m| loads_krps.iter().map(move |&krps| (m, krps)))
         .collect();
-    let rows = run_sweep("fig7_rocksdb", Sweep::new(points), bench, |&(m, krps), _ctx| {
+    let rows = Sweep::new(points).threads(bench.threads).run(|&(m, krps), _ctx| {
         let cfg = ServerConfig::paper(m, krps * 1_000.0);
         let r = match faults {
             None => run_server(&cfg),

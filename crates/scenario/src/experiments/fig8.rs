@@ -5,7 +5,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{pct, run_sweep, AsciiChart, BenchOpts, Sweep, Table};
+use xui_bench::{pct, AsciiChart, BenchOpts, Sweep, Table};
 use xui_faults::FaultPlan;
 use xui_net::l3fwd::run_l3fwd_faulted;
 use xui_net::{run_l3fwd, IoMode, L3fwdConfig};
@@ -47,10 +47,7 @@ pub(crate) fn run(
             }
         }
     }
-    let rows = run_sweep(
-        "fig8_l3fwd",
-        Sweep::new(points),
-        bench,
+    let rows = Sweep::new(points).threads(bench.threads).run(
         |&(nics, load, mode, name), _ctx| {
             let cfg = L3fwdConfig::paper(nics, load, mode);
             let r = match faults {

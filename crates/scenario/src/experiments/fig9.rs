@@ -5,7 +5,7 @@
 use serde::Serialize;
 
 use xui_accel::{run_offload, CompletionMode, OffloadConfig, RequestKind};
-use xui_bench::{pct, run_sweep, AsciiChart, BenchOpts, Sweep, Table};
+use xui_bench::{pct, AsciiChart, BenchOpts, Sweep, Table};
 
 use crate::runner::Sink;
 use crate::spec::DsaMode;
@@ -51,10 +51,7 @@ pub(crate) fn run(
             }
         }
     }
-    let rows = run_sweep(
-        "fig9_dsa",
-        Sweep::new(points),
-        bench,
+    let rows = Sweep::new(points).threads(bench.threads).run(
         |&(kind, kname, noise_pct, mode, mname), _ctx| {
             let noise = kind.mean_cycles() * noise_pct / 100;
             let cfg = OffloadConfig::paper(kind, noise, mode);

@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_kernel::PreemptMechanism;
 use xui_runtime::tenants::{run_multi_tenant_metrics, MultiTenantConfig};
 use xui_telemetry::MetricsSnapshot;
@@ -69,7 +69,7 @@ pub(crate) fn run(
         .collect();
     let population = ClientPopulation { clients: clients_per_tenant, rps_per_client };
     let results: Vec<(Row, MetricsSnapshot)> =
-        run_sweep(id, Sweep::new(points), bench, |&(m, n), _ctx| {
+        Sweep::new(points).threads(bench.threads).run(|&(m, n), _ctx| {
             let mut cfg = MultiTenantConfig::paper(n, cores, population, m);
             cfg.quantum = quantum;
             cfg.duration = duration;

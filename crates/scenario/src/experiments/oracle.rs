@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_oracle::{fuzz_one, reproducer_json, Reproducer};
 
 use crate::runner::Sink;
@@ -50,7 +50,7 @@ pub(crate) fn run(
         .chain((0..sim).map(|index| Point { sim_class: true, index }))
         .collect();
 
-    let results = run_sweep("oracle_fuzz", Sweep::new(points).base_seed(base_seed), bench, |p, ctx| {
+    let results = Sweep::new(points).base_seed(base_seed).threads(bench.threads).run(|p, ctx| {
         fuzz_one(ctx.seed.wrapping_add(p.index), p.sim_class)
     });
     let full_div = results[..full as usize].iter().flatten().count();

@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_sim::config::{CoreConfig, SystemConfig};
 use xui_sim::isa::Op;
 use xui_sim::{Program, System};
@@ -60,10 +60,8 @@ struct Row {
 
 pub(crate) fn run(send_iters: u64, uif_iters: u64, bench: &BenchOpts, sink: &mut Sink) {
     let n = send_iters;
-    let measured = run_sweep(
-        "table2_uipi_metrics",
-        Sweep::new(vec!["senduipi", "clui", "stui", "recv"]),
-        bench,
+    let metrics = vec!["senduipi", "clui", "stui", "recv"];
+    let measured = Sweep::new(metrics).threads(bench.threads).run(
         |&metric, _ctx| match metric {
             "senduipi" => per_iter_delta(send_loop(n, true), send_loop(n, false), n, true),
             "clui" => per_iter_delta(

@@ -28,7 +28,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_faults::{FaultPlan, JitterCdf};
 use xui_runtime::worstcase::{
     run_worst_case, CriticalityMix, InterferenceKind, WorstCaseConfig, WorstCaseReport,
@@ -131,7 +131,7 @@ pub(crate) fn run(
         .flat_map(|&k| interferer_counts.iter().map(move |&n| (k, n)))
         .collect();
     let probes: Vec<ProbeRow> =
-        run_sweep(id, Sweep::new(probe_points), bench, |&(kind, n), _ctx| {
+        Sweep::new(probe_points).threads(bench.threads).run(|&(kind, n), _ctx| {
             let (cache_pct, pipeline_pct) = kind.knobs(n);
             let (mean, max) =
                 probe(InterferenceConfig { cache_pct, pipeline_pct }, probe_max_cycles);
@@ -157,7 +157,7 @@ pub(crate) fn run(
         })
         .collect();
     let arms: Vec<ArmRow> =
-        run_sweep(id, Sweep::new(arm_points), bench, |(kind, n, mix, iso), ctx| {
+        Sweep::new(arm_points).threads(bench.threads).run(|(kind, n, mix, iso), ctx| {
             let mut cfg = WorstCaseConfig::paper(*kind, *n, mix.clone(), *iso);
             cfg.seed = ctx.seed;
             cfg.duration = duration;

@@ -5,7 +5,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_workloads::harness::{run_workload, IrqSource};
 use xui_workloads::programs::{pointer_chase, Instrument, WorkloadSpec};
@@ -42,7 +42,7 @@ pub(crate) fn run(
     // Part 1: UIPI delivery latency vs pointer-chase working set.
     println!("-- delivery latency vs working set (flush flat, drain grows) --");
     let points = chase_nodes.to_vec();
-    let lat_rows = run_sweep("x2_flush_forensics", Sweep::new(points), bench, |&nodes, _ctx| {
+    let lat_rows = Sweep::new(points).threads(bench.threads).run(|&nodes, _ctx| {
         let w = pointer_chase(nodes, chase_iters, Instrument::None);
         let flush = run_workload(
             SystemConfig::uipi(),
@@ -98,7 +98,7 @@ pub(crate) fn run(
     let base = run_workload(SystemConfig::uipi(), &w, IrqSource::None, max);
     let periods = squash_periods.to_vec();
     let squash_rows =
-        run_sweep("x2_flush_forensics", Sweep::new(periods), bench, |&period, _ctx| {
+        Sweep::new(periods).threads(bench.threads).run(|&period, _ctx| {
             let r = run_workload(
                 SystemConfig::uipi(),
                 &w,

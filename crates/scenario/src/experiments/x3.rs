@@ -4,7 +4,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_kernel::signals::SignalModel;
 use xui_sim::config::SystemConfig;
 use xui_sim::{Program, System};
@@ -41,7 +41,7 @@ pub(crate) fn run(
 
     // clui/stui tax on a hot critical section (cycle-level simulation).
     let cycles =
-        run_sweep("x3_signal_costs", Sweep::new(vec![false, true]), bench, |&prot, _ctx| {
+        Sweep::new(vec![false, true]).threads(bench.threads).run(|&prot, _ctx| {
             run_program(critical_section_loop(cs_iters, prot, cs_body_len))
         });
     let (plain, protected) = (cycles[0], cycles[1]);

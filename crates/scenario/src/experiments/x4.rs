@@ -9,7 +9,7 @@
 
 use serde::Serialize;
 
-use xui_bench::{run_sweep, BenchOpts, Sweep, Table};
+use xui_bench::{BenchOpts, Sweep, Table};
 use xui_sim::config::SystemConfig;
 use xui_sim::System;
 use xui_workloads::harness::{run_workload, IrqSource};
@@ -39,7 +39,7 @@ pub(crate) fn run(
     let points: Vec<Option<WorkloadSpec>> =
         benchmarks.iter().map(|&s| Some(s)).chain(std::iter::once(None)).collect();
     let n_bench = benchmarks.len();
-    let rows: Vec<Row> = run_sweep("x4_polling_tax", Sweep::new(points), bench, |point, _ctx| {
+    let rows: Vec<Row> = Sweep::new(points).threads(bench.threads).run(|point, _ctx| {
         let Some(spec) = point else {
             // The tight-loop worst case, measured directly.
             let run_tight = |polled| {

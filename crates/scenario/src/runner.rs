@@ -83,11 +83,11 @@ impl fmt::Debug for ProgressHook {
 }
 
 /// How to execute a scenario: the shared sweep options (threads, trace,
-/// metrics, bench-meta) plus whether artifacts are written to
-/// `results/`. The binaries save; the golden tests run in-memory.
+/// metrics) plus whether artifacts are written to `results/`. `xui run`
+/// saves; the golden tests run in-memory.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Sweep options shared with the former binaries.
+    /// Sweep options parsed from `xui run`'s flags.
     pub bench: BenchOpts,
     /// Write every artifact to `results/<id>.json` as well.
     pub save: bool,

@@ -3,11 +3,11 @@
 //! subscribers (one deliberately slow), and open-loop request churn
 //! from the same client-population model the DES experiments use.
 //!
-//! The report lands under the `serve_load` key of
-//! `results/BENCH_sweep.json` (merged, like every other section of
-//! that shared file).
+//! Prints the report table and persists nothing. Exit status: 0 when the
+//! watched run finished and every churn request was answered, 1 when
+//! not, 2 on a usage error.
 
-use xui_bench::{banner, record_bench_section, CliSpec, Table};
+use xui_bench::{banner, CliError, CliSpec, Table};
 use xui_serve::{run_load, LoadConfig};
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     let parsed = spec.parse_or_exit();
 
     let mut cfg = LoadConfig::default();
-    let overrides = (|| -> Result<(), xui_bench::CliError> {
+    let overrides = (|| -> Result<(), CliError> {
         if let Some(s) = parsed.opt("--scenario") {
             cfg.scenario = s.to_string();
         }
@@ -32,14 +32,28 @@ fn main() {
             cfg.requests = n;
         }
         if let Some(n) = parsed.opt_u64("--clients")? {
-            cfg.clients = n.max(1);
+            // Each churn thread models `clients / churn_threads` clients,
+            // so fewer clients than threads leaves a thread with none.
+            if n < cfg.churn_threads as u64 {
+                return Err(CliError::InvalidValue {
+                    option: "--clients".to_string(),
+                    value: n.to_string(),
+                    want: format!("at least {} (one per churn thread)", cfg.churn_threads),
+                });
+            }
+            cfg.clients = n;
         }
         if let Some(r) = parsed.opt("--rps") {
-            cfg.rps_per_client = r.parse().map_err(|_| xui_bench::CliError::InvalidValue {
-                option: "--rps".to_string(),
-                value: r.to_string(),
-                want: "a positive number".to_string(),
-            })?;
+            cfg.rps_per_client = match r.parse::<f64>() {
+                Ok(x) if x.is_finite() && x > 0.0 => x,
+                _ => {
+                    return Err(CliError::InvalidValue {
+                        option: "--rps".to_string(),
+                        value: r.to_string(),
+                        want: "a positive number".to_string(),
+                    })
+                }
+            };
         }
         if let Some(s) = parsed.opt_u64("--seed")? {
             cfg.seed = s;
@@ -83,9 +97,6 @@ fn main() {
         ]);
     }
     t.print();
-
-    record_bench_section("serve_load", &report);
-    println!("\n    [results/BENCH_sweep.json section `serve_load`]");
 
     let ok = report.run_state == "done" && report.requests_ok == report.requests_sent;
     std::process::exit(i32::from(!ok));

@@ -19,8 +19,7 @@
 //! The [`load`] module turns the server on itself: an open-loop client
 //! population (the same arrival model as the DES experiments) drives
 //! request churn plus live SSE subscribers against an in-process
-//! server, and the measured throughput/latency/loss lands in
-//! `results/BENCH_sweep.json` under the `serve_load` key.
+//! server, and reports the measured throughput, latency and loss.
 //!
 //! See `docs/SERVE.md` for the endpoint reference and curl examples.
 

@@ -7,9 +7,7 @@
 //!
 //! The report records achieved request throughput, response latency
 //! percentiles, and every subscriber's delivery/loss accounting; the
-//! `serve_load` binary lands it in `results/BENCH_sweep.json` so the
-//! control plane's capacity is tracked next to the DES and telemetry
-//! numbers.
+//! `serve_load` binary prints it as a table.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -199,18 +197,35 @@ fn churn_path(i: u64, run_id: u64) -> String {
 
 /// Runs the whole benchmark against an in-process server and returns
 /// the report. Artifacts are *not* saved (the watched run streams
-/// in-memory); the caller records the report itself.
+/// in-memory).
 ///
 /// # Errors
 ///
-/// Returns a message when the server cannot start or the HTTP
-/// choreography fails.
+/// Returns a message when the configuration leaves a churn thread
+/// without a positive, finite arrival rate, when the server cannot
+/// start, or when the HTTP choreography fails.
 ///
 /// # Panics
 ///
 /// Panics if internal thread joins fail (a poisoned test run).
 #[allow(clippy::too_many_lines)]
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
+    // Each churn thread draws from its own share of the population;
+    // its mean inter-arrival gap must be a positive, finite tick count
+    // (zero churn threads leave no share at all).
+    let population = ClientPopulation {
+        clients: cfg.clients.checked_div(cfg.churn_threads as u64).unwrap_or(0),
+        rps_per_client: cfg.rps_per_client,
+    };
+    let mean_gap = 1.0 / population.rate_per_tick();
+    if !(mean_gap.is_finite() && mean_gap > 0.0) {
+        return Err(format!(
+            "{} clients at {} rps over {} churn threads leave a thread without \
+             a positive, finite arrival rate",
+            cfg.clients, cfg.rps_per_client, cfg.churn_threads
+        ));
+    }
+
     let server = Server::start(&ServeConfig {
         // Every live stream parks one handler; churn needs headroom.
         handler_workers: cfg.subscribers + cfg.churn_threads + 4,
@@ -252,10 +267,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
     // from its actual send (the achieved-vs-offered gap shows up in
     // `achieved_rps`, not hidden inside the percentiles).
     let per_thread_requests = cfg.requests / cfg.churn_threads as u64;
-    let population = ClientPopulation {
-        clients: cfg.clients / cfg.churn_threads as u64,
-        rps_per_client: cfg.rps_per_client,
-    };
     let churn_started = Instant::now();
     let mut churn_handles = Vec::new();
     for t in 0..cfg.churn_threads {

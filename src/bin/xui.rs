@@ -11,10 +11,9 @@
 //!
 //! Each subcommand parses its *own* flag set strictly — `xui show
 //! --threads 4` is a usage error (exit 2), not a silently ignored
-//! run-only flag. `run` takes the shared bench flags (`--threads`,
-//! `--trace`, `--metrics`, `--bench-meta`), `--faults <plan.json>`,
-//! `--seed`, and the fuzzer's corpus sizes (`--full`/`--sim`, a usage
-//! error on any other scenario). `sweep`
+//! run-only flag. `run` takes `--threads`, `--trace`, `--metrics`,
+//! `--faults <plan.json>`, `--seed`, and the fuzzer's corpus sizes
+//! (`--full`/`--sim`, a usage error on any other scenario). `sweep`
 //! expands a sweep spec (see `docs/SCENARIOS.md`) into named points,
 //! fans them across a worker pool, and with `--shard I/N` runs only the
 //! points whose name hashes into shard I; `--merge` reassembles shard
@@ -55,8 +54,11 @@ fn spec_for(command: &str) -> Option<CliSpec> {
                 .positional("scenario", "preset name or scenario JSON file", true),
         ),
         "run" => Some(
-            CliSpec::bench("xui run", "run one scenario")
+            CliSpec::new("xui run", "run one scenario")
                 .positional("scenario", "preset name or scenario JSON file", true)
+                .flag("--metrics", "save a merged metrics snapshot under results/")
+                .option("--trace", "PATH", "write a Chrome trace JSON to PATH")
+                .option("--threads", "N", "sweep worker threads (default: all cores)")
                 .option("--faults", "PLAN", "run with a fault plan JSON file (fig7/fig8 scenarios)")
                 .option("--full", "N", "oracle_fuzz: full-alphabet schedules (default 10000)")
                 .option("--sim", "N", "oracle_fuzz: sim-class schedules (default 1000)")

@@ -67,9 +67,15 @@ fn run_with_unknown_preset_exits_2_and_points_at_list() {
 
 #[test]
 fn unknown_flag_exits_2_with_usage() {
-    let out = xui(&["run", "fig2_timeline", "--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("usage"), "{}", stderr(&out));
+    // `--bench-meta` was removed; it must now be rejected like any other
+    // undeclared flag.
+    for flag in ["--no-such-flag", "--bench-meta"] {
+        let out = xui(&["run", "fig2_timeline", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag} stderr: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("usage"), "{err}");
+    }
 }
 
 #[test]
@@ -180,7 +186,6 @@ fn run_help_lists_every_run_flag() {
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     let body = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "--bench-meta",
         "--metrics",
         "--trace <PATH>",
         "--threads <N>",
