@@ -2,10 +2,9 @@
 //! periodic polling via the OS interval timer, and xUI device interrupts.
 
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{Event, NullRecorder, Recorder};
+use xui_telemetry::{Event, Recorder};
 
 use xui_core::CostModel;
-use xui_faults::FaultInjector;
 use xui_kernel::os_timers::SETITIMER_MIN_PERIOD;
 use xui_kernel::OsCosts;
 
@@ -62,20 +61,14 @@ impl CompletionWaiter {
     }
 
     /// Waits from `wait_start` (the submit return) until the completion
-    /// written at `completed_at` is observed.
-    #[must_use]
-    pub fn wait(&self, wait_start: u64, completed_at: u64) -> WaitOutcome {
-        self.wait_traced(wait_start, completed_at, 0, &mut NullRecorder)
-    }
-
-    /// [`CompletionWaiter::wait`] with telemetry: records an
+    /// written at `completed_at` is observed, recording an
     /// `offload_wait` span on `actor` from the submit return to the
     /// moment the completion is observed (argument `delay` = detection
     /// delay in cycles), plus a `completed` instant at the device's
-    /// completion-record write. With [`NullRecorder`] this is exactly
-    /// the untraced computation.
+    /// completion-record write. With [`xui_telemetry::NullRecorder`]
+    /// the recording compiles away.
     #[must_use]
-    pub fn wait_traced<R: Recorder>(
+    pub fn wait<R: Recorder>(
         &self,
         wait_start: u64,
         completed_at: u64,
@@ -141,52 +134,18 @@ impl CompletionWaiter {
             }
         }
     }
-
-    /// Observes a batch of completions in notification order: the wait
-    /// for completion *k*+1 starts the moment completion *k* was
-    /// detected, so a late record at the head of the batch delays
-    /// everything behind it (head-of-line blocking on the completion
-    /// stream). Records whose completion time has already passed when
-    /// their wait starts are detected with the mode's minimum delay.
-    #[must_use]
-    pub fn observe_batch(&self, wait_start: u64, completed_at: &[u64]) -> Vec<WaitOutcome> {
-        let mut out = Vec::with_capacity(completed_at.len());
-        let mut start = wait_start;
-        for &c in completed_at {
-            let o = self.wait(start, c.max(start));
-            start = o.detected_at;
-            out.push(o);
-        }
-        out
-    }
-
-    /// [`CompletionWaiter::observe_batch`] under fault injection: the
-    /// injector's `ReorderCompletions` op permutes the notification
-    /// order within its windows (the accelerator raised its completion
-    /// interrupts out of submission order), so an early descriptor can
-    /// be stuck behind a slow one. With an empty plan this is exactly
-    /// [`CompletionWaiter::observe_batch`].
-    #[must_use]
-    pub fn observe_batch_faulted(
-        &self,
-        wait_start: u64,
-        completed_at: &[u64],
-        inj: &mut FaultInjector,
-    ) -> Vec<WaitOutcome> {
-        let mut order: Vec<u64> = completed_at.to_vec();
-        inj.permute_completions(&mut order);
-        self.observe_batch(wait_start, &order)
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use xui_telemetry::NullRecorder;
+
     use super::*;
 
     #[test]
     fn busy_spin_is_fast_but_burns_everything() {
         let w = CompletionWaiter::new(CompletionMode::BusySpin);
-        let o = w.wait(1_000, 5_000);
+        let o = w.wait(1_000, 5_000, 0, &mut NullRecorder);
         assert_eq!(o.detection_delay, 20);
         assert_eq!(o.cpu_free, 0);
         assert_eq!(o.cpu_spent, 4_020);
@@ -195,12 +154,17 @@ mod tests {
     #[test]
     fn xui_is_nearly_as_fast_and_nearly_free() {
         let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let o = w.wait(1_000, 5_000);
+        let o = w.wait(1_000, 5_000, 0, &mut NullRecorder);
         assert_eq!(o.detection_delay, 105);
         assert_eq!(o.cpu_spent, 105);
         assert_eq!(o.cpu_free, 4_000);
         // Paper: within 0.2 µs (400 cycles) of spinning.
-        let spin = CompletionWaiter::new(CompletionMode::BusySpin).wait(1_000, 5_000);
+        let spin = CompletionWaiter::new(CompletionMode::BusySpin).wait(
+            1_000,
+            5_000,
+            0,
+            &mut NullRecorder,
+        );
         assert!(o.detection_delay - spin.detection_delay < 400);
     }
 
@@ -209,20 +173,20 @@ mod tests {
         let w = CompletionWaiter::new(CompletionMode::PeriodicPoll { period: 40_000 });
         // Completion just after the first tick: nearly a full extra
         // period of delay.
-        let o = w.wait(0, 40_100);
+        let o = w.wait(0, 40_100, 0, &mut NullRecorder);
         assert!(o.detection_delay > 35_000, "delay={}", o.detection_delay);
         // Completion just before the tick: short delay.
-        let o = w.wait(0, 39_900);
+        let o = w.wait(0, 39_900, 0, &mut NullRecorder);
         assert!(o.detection_delay < 5_000, "delay={}", o.detection_delay);
         // On-time completion: detected at its tick (handler latency only).
-        let o = w.wait(0, 40_000);
+        let o = w.wait(0, 40_000, 0, &mut NullRecorder);
         assert!(o.detection_delay < 5_000, "delay={}", o.detection_delay);
     }
 
     #[test]
     fn periodic_poll_period_is_clamped() {
         let w = CompletionWaiter::new(CompletionMode::PeriodicPoll { period: 1 });
-        let o = w.wait(0, 100);
+        let o = w.wait(0, 100, 0, &mut NullRecorder);
         // Clamped to the 2 µs floor: detection waits for tick 1 at 4000.
         assert!(o.detected_at >= SETITIMER_MIN_PERIOD);
     }
@@ -231,8 +195,8 @@ mod tests {
     fn traced_wait_matches_untraced_and_spans_balance() {
         let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
         let mut rec = xui_telemetry::RingRecorder::new(16);
-        let traced = w.wait_traced(1_000, 5_000, 7, &mut rec);
-        assert_eq!(traced, w.wait(1_000, 5_000));
+        let traced = w.wait(1_000, 5_000, 7, &mut rec);
+        assert_eq!(traced, w.wait(1_000, 5_000, 0, &mut NullRecorder));
         let events = rec.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0], xui_telemetry::Event::begin(1_000, 7, "offload_wait"));
@@ -244,58 +208,21 @@ mod tests {
     }
 
     #[test]
-    fn observe_batch_detections_are_monotonic_and_hol_block() {
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let outs = w.observe_batch(0, &[10_000, 2_000, 30_000]);
-        assert_eq!(outs.len(), 3);
-        // The 2_000 record completed long before its wait started: it is
-        // stuck behind the 10_000 one (head-of-line blocking).
-        assert!(outs[0].detected_at <= outs[1].detected_at);
-        assert!(outs[1].detected_at <= outs[2].detected_at);
-        assert_eq!(outs[0].detected_at, 10_000 + 105);
-        assert_eq!(outs[1].detected_at, outs[0].detected_at + 105);
-    }
-
-    #[test]
-    fn faulted_batch_with_empty_plan_is_identical() {
-        use xui_faults::{FaultInjector, FaultPlan};
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let completions = [5_000, 9_000, 1_000, 14_000];
-        let clean = w.observe_batch(0, &completions);
-        let mut inj = FaultInjector::new(&FaultPlan::named("empty"));
-        let faulted = w.observe_batch_faulted(0, &completions, &mut inj);
-        assert_eq!(clean, faulted);
-    }
-
-    #[test]
-    fn reordered_completions_are_deterministic_and_conserve_records() {
-        use xui_faults::{FaultInjector, FaultPlan};
-        let w = CompletionWaiter::new(CompletionMode::XuiInterrupt);
-        let completions: Vec<u64> = (0..16).map(|i| 1_000 * (i + 1)).collect();
-        let plan = FaultPlan::named("reorder").seed(11).reorder_completions(4);
-        let mut a_inj = FaultInjector::new(&plan);
-        let a = w.observe_batch_faulted(0, &completions, &mut a_inj);
-        let mut b_inj = FaultInjector::new(&plan);
-        let b = w.observe_batch_faulted(0, &completions, &mut b_inj);
-        assert_eq!(a, b, "same plan, same permutation");
-        assert_eq!(a.len(), completions.len(), "no record lost or invented");
-        // Detection stays monotonic even when notification order is not.
-        assert!(a.windows(2).all(|p| p[0].detected_at <= p[1].detected_at));
-        // The permutation actually bites for this seed/window.
-        let clean = w.observe_batch(0, &completions);
-        assert_ne!(a, clean, "reorder changed per-record outcomes");
-    }
-
-    #[test]
     fn mode_ordering_for_free_cycles() {
         // Completion mid-period so the poll must wait for its next tick.
         let frac = |o: &WaitOutcome, start: u64| {
             o.cpu_free as f64 / (o.detected_at - start) as f64
         };
-        let spin = CompletionWaiter::new(CompletionMode::BusySpin).wait(0, 41_000);
+        let spin =
+            CompletionWaiter::new(CompletionMode::BusySpin).wait(0, 41_000, 0, &mut NullRecorder);
         let poll = CompletionWaiter::new(CompletionMode::PeriodicPoll { period: 40_000 })
-            .wait(0, 41_000);
-        let xui = CompletionWaiter::new(CompletionMode::XuiInterrupt).wait(0, 41_000);
+            .wait(0, 41_000, 0, &mut NullRecorder);
+        let xui = CompletionWaiter::new(CompletionMode::XuiInterrupt).wait(
+            0,
+            41_000,
+            0,
+            &mut NullRecorder,
+        );
         assert!(frac(&spin, 0) < frac(&poll, 0));
         assert!(frac(&poll, 0) < frac(&xui, 0));
         assert!(xui.detection_delay < poll.detection_delay);
@@ -305,6 +232,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
+    use xui_telemetry::NullRecorder;
 
     use super::*;
 
@@ -328,7 +256,7 @@ mod proptests {
             span in 1u64..200_000,
         ) {
             let completed = start + span;
-            let o = CompletionWaiter::new(mode).wait(start, completed);
+            let o = CompletionWaiter::new(mode).wait(start, completed, 0, &mut NullRecorder);
             prop_assert!(o.detected_at >= completed);
             prop_assert_eq!(o.detection_delay, o.detected_at - completed);
             let window = o.detected_at - start;
@@ -353,10 +281,15 @@ mod proptests {
         fn delay_bounds(start in 0u64..100_000, span in 1u64..200_000, period in 1u64..100_000) {
             let completed = start + span;
             let poll = CompletionWaiter::new(CompletionMode::PeriodicPoll { period })
-                .wait(start, completed);
+                .wait(start, completed, 0, &mut NullRecorder);
             let eff = period.max(xui_kernel::os_timers::SETITIMER_MIN_PERIOD);
             prop_assert!(poll.detection_delay <= eff + 4_800);
-            let xui = CompletionWaiter::new(CompletionMode::XuiInterrupt).wait(start, completed);
+            let xui = CompletionWaiter::new(CompletionMode::XuiInterrupt).wait(
+                start,
+                completed,
+                0,
+                &mut NullRecorder,
+            );
             prop_assert_eq!(xui.detection_delay, 105);
         }
     }

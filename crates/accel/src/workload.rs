@@ -8,6 +8,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use xui_des::stats::{Histogram, Summary};
+use xui_telemetry::NullRecorder;
 
 use crate::completion::{CompletionMode, CompletionWaiter};
 use crate::engine::{AccelEngine, RequestKind};
@@ -85,7 +86,7 @@ pub fn run_offload(cfg: &OffloadConfig) -> OffloadReport {
     for _ in 0..cfg.requests {
         now += cfg.submit_cost;
         let (_desc, completion) = engine.submit(now, &mut rng);
-        let outcome = waiter.wait(now, completion.completed_at);
+        let outcome = waiter.wait(now, completion.completed_at, 0, &mut NullRecorder);
         delays.record(outcome.detection_delay);
         free += outcome.cpu_free;
         now = outcome.detected_at;

@@ -1,8 +1,8 @@
 //! Deterministic interpreter for a [`FaultPlan`].
 //!
 //! The injector is a pure state machine over the virtual clock and a
-//! post/completion counter: given the same plan and the same sequence
-//! of queries it always returns the same answers. All randomness is
+//! post counter: given the same plan and the same sequence of queries
+//! it always returns the same answers. All randomness is
 //! derived from the plan seed via `splitmix64`, salted by a stable
 //! index (window number), never by wall-clock or iteration order.
 
@@ -42,7 +42,7 @@ pub struct InjectionLog {
     pub timer_stalls: u64,
     /// Ring-capacity queries answered with a clamped value.
     pub ring_clamps: u64,
-    /// Elements moved by permutation faults (posts + completions).
+    /// Posts moved by permutation faults.
     pub reordered: u64,
     /// Queries answered with a nonzero interference-burst inflation.
     pub interference_hits: u64,
@@ -66,7 +66,6 @@ pub struct InjectionLog {
 pub struct FaultInjector {
     plan: FaultPlan,
     post_count: u64,
-    completion_count: u64,
     log: InjectionLog,
 }
 
@@ -78,7 +77,6 @@ impl FaultInjector {
         Self {
             plan: plan.clone(),
             post_count: 0,
-            completion_count: 0,
             log: InjectionLog::default(),
         }
     }
@@ -250,26 +248,6 @@ impl FaultInjector {
         self.log.reordered += moved;
         moved
     }
-
-    /// Like [`Self::permute_posts`] but for accelerator completions
-    /// (`ReorderCompletions`); windows advance with the running
-    /// completion counter so batches observed one at a time still see
-    /// one global permutation schedule.
-    pub fn permute_completions<T>(&mut self, items: &mut [T]) -> u64 {
-        let window = self.plan.ops.iter().find_map(|op| match *op {
-            FaultOp::ReorderCompletions { window } => Some(window),
-            _ => None,
-        });
-        let Some(window) = window else {
-            self.completion_count += items.len() as u64;
-            return 0;
-        };
-        let salt = self.plan.seed ^ self.completion_count.wrapping_mul(0xA076_1D64_78BD_642F);
-        self.completion_count += items.len() as u64;
-        let moved = permute_windows(items, window, salt);
-        self.log.reordered += moved;
-        moved
-    }
 }
 
 /// Fisher–Yates over consecutive windows, keyed by `seed` and the
@@ -425,25 +403,6 @@ mod tests {
         let _ = FaultInjector::new(&FaultPlan::named("t").seed(2).reorder_posts(8))
             .permute_posts(&mut b);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn completion_windows_track_global_counter() {
-        let plan = FaultPlan::named("t").seed(9).reorder_completions(4);
-        // Observing 8 completions in one batch vs two batches of 4 may
-        // differ (the salt advances), but each path must self-replay.
-        let mut one = FaultInjector::new(&plan);
-        let mut x: Vec<u32> = (0..4).collect();
-        let mut y: Vec<u32> = (4..8).collect();
-        one.permute_completions(&mut x);
-        one.permute_completions(&mut y);
-        let mut two = FaultInjector::new(&plan);
-        let mut x2: Vec<u32> = (0..4).collect();
-        let mut y2: Vec<u32> = (4..8).collect();
-        two.permute_completions(&mut x2);
-        two.permute_completions(&mut y2);
-        assert_eq!(x, x2);
-        assert_eq!(y, y2);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! - [`plan::FaultPlan`] — a serializable DSL of faults (drop / delay /
 //!   duplicate / reorder posts, flip `SN`/`UIF` in time windows, stall
-//!   the timer core, clamp NIC rings, reorder accelerator completions),
-//!   replayable from `(seed, plan)`;
+//!   the timer core, clamp NIC rings, burst interference), replayable
+//!   from `(seed, plan)`;
 //! - [`inject::FaultInjector`] — the deterministic interpreter consulted
 //!   by the fault-aware run paths in `runtime`, `net` and the scenario
 //!   binaries;

@@ -87,12 +87,6 @@ pub enum FaultOp {
         /// Clamped descriptor count.
         capacity: usize,
     },
-    /// Permute accelerator completion order inside consecutive windows
-    /// of `window` completions (seeded like [`FaultOp::ReorderPosts`]).
-    ReorderCompletions {
-        /// Window length in completions.
-        window: usize,
-    },
     /// Co-located bulk tenants burst on the victim's core while the
     /// clock is in `[from, until)`, inflating delivery-path costs by
     /// `pct` percent. Overlapping bursts stack additively.
@@ -215,12 +209,6 @@ impl FaultPlan {
     #[must_use]
     pub fn clamp_ring(self, queue: usize, from: u64, until: u64, capacity: usize) -> Self {
         self.op(FaultOp::ClampRing { queue, from, until, capacity })
-    }
-
-    /// Permutes completions within windows of `window`.
-    #[must_use]
-    pub fn reorder_completions(self, window: usize) -> Self {
-        self.op(FaultOp::ReorderCompletions { window })
     }
 
     /// Adds an interference burst: delivery-path costs inflate by `pct`

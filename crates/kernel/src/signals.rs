@@ -1,7 +1,7 @@
 //! POSIX signal delivery model (§2 "Signals: high overheads, imprecise").
 
 use serde::{Deserialize, Serialize};
-use xui_telemetry::{NullRecorder, Recorder};
+use xui_telemetry::Recorder;
 
 use crate::costs::OsCosts;
 
@@ -39,22 +39,12 @@ impl SignalModel {
     }
 
     /// Delivers one signal at `now`; returns when the handler starts and
-    /// what the interruption costs in total.
-    pub fn deliver(&mut self, now: u64) -> SignalDelivery {
-        self.deliver_traced(now, 0, &mut NullRecorder)
-    }
-
-    /// [`SignalModel::deliver`] with telemetry: records a
-    /// `signal_delivery` span on `core` from the signal's arrival to the
-    /// handler start (the kernel path), carrying the total charged cost
-    /// as an argument. With [`NullRecorder`] this compiles to exactly
-    /// the untraced path.
-    pub fn deliver_traced<R: Recorder>(
-        &mut self,
-        now: u64,
-        core: u32,
-        rec: &mut R,
-    ) -> SignalDelivery {
+    /// what the interruption costs in total. Records a `signal_delivery`
+    /// span on `core` from the signal's arrival to the handler start
+    /// (the kernel path), carrying the total charged cost as an
+    /// argument. With [`xui_telemetry::NullRecorder`] the recording
+    /// compiles away.
+    pub fn deliver<R: Recorder>(&mut self, now: u64, core: u32, rec: &mut R) -> SignalDelivery {
         self.delivered += 1;
         self.cycles_charged += self.costs.signal_total;
         let delivery = SignalDelivery {
@@ -96,13 +86,15 @@ impl SignalModel {
 
 #[cfg(test)]
 mod tests {
+    use xui_telemetry::NullRecorder;
+
     use super::*;
 
     #[test]
     fn each_signal_costs_2_4_us() {
         let mut m = SignalModel::new();
         for i in 0..100 {
-            let d = m.deliver(i * 10_000);
+            let d = m.deliver(i * 10_000, 0, &mut NullRecorder);
             assert_eq!(d.total_cost, 4_800);
             assert_eq!(d.handler_start, i * 10_000 + 2_800);
         }
@@ -121,7 +113,7 @@ mod tests {
     fn traced_delivery_records_balanced_span() {
         let mut m = SignalModel::new();
         let mut rec = xui_telemetry::RingRecorder::new(16);
-        let d = m.deliver_traced(1_000, 3, &mut rec);
+        let d = m.deliver(1_000, 3, &mut rec);
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], xui_telemetry::Event::begin(1_000, 3, "signal_delivery"));
@@ -129,6 +121,6 @@ mod tests {
         assert_eq!(events[1].arg("total_cost"), Some(d.total_cost));
         // Same result as the untraced path.
         let mut m2 = SignalModel::new();
-        assert_eq!(m2.deliver(1_000), d);
+        assert_eq!(m2.deliver(1_000, 0, &mut NullRecorder), d);
     }
 }

@@ -8,6 +8,7 @@ use xui_bench::{BenchOpts, Sweep, Table};
 use xui_kernel::signals::SignalModel;
 use xui_sim::config::SystemConfig;
 use xui_sim::{Program, System};
+use xui_telemetry::NullRecorder;
 use xui_workloads::programs::critical_section_loop;
 
 use crate::runner::Sink;
@@ -35,7 +36,7 @@ pub(crate) fn run(
     // Signals.
     let mut model = SignalModel::new();
     for i in 0..signals {
-        model.deliver(i * signal_spacing);
+        model.deliver(i * signal_spacing, 0, &mut NullRecorder);
     }
     let signal_us = model.mean_cost_us();
 

@@ -465,8 +465,9 @@ impl Scenario {
 
     /// Checks internal consistency: the declared backend matches the
     /// experiment family, the topology covers the experiment's sweep
-    /// maxima, and optional features (faults, seeds) are only declared
-    /// where the experiment honours them.
+    /// maxima, counts and rates the models divide by are positive, and
+    /// optional features (faults, seeds) are only declared where the
+    /// experiment honours them.
     pub fn validate(&self) -> Result<(), String> {
         let err = |msg: String| Err(format!("scenario `{}`: {msg}", self.name));
         if self.backend != self.experiment.backend() {
@@ -521,15 +522,32 @@ impl Scenario {
                     ));
                 }
             }
-            Experiment::Fig7Rocksdb { mechanisms, .. } => {
+            Experiment::Fig7Rocksdb { loads_krps, mechanisms, .. } => {
+                if !loads_krps.iter().all(|&l| positive(l)) {
+                    return err("every offered load must be positive and finite".into());
+                }
                 let needs_timer = mechanisms.contains(&PreemptMechanism::UipiSwTimer);
                 if needs_timer && t.timer_cores == 0 {
                     return err("the UIPI SW-timer mechanism needs a dedicated timer core".into());
                 }
             }
-            Experiment::MultiTenant { tenant_counts, cores, mechanisms, arrival_batch, .. } => {
+            Experiment::MultiTenant {
+                tenant_counts,
+                cores,
+                clients_per_tenant,
+                rps_per_client,
+                mechanisms,
+                arrival_batch,
+                ..
+            } => {
                 if tenant_counts.is_empty() || mechanisms.is_empty() {
                     return err("the tenant-count and mechanism lists must be non-empty".into());
+                }
+                if tenant_counts.contains(&0) || *clients_per_tenant == 0 {
+                    return err("tenant and per-tenant client counts must be at least 1".into());
+                }
+                if !positive(*rps_per_client) {
+                    return err("the per-client request rate must be positive and finite".into());
                 }
                 if *cores == 0 || t.app_cores < *cores {
                     return err(format!(
@@ -546,6 +564,9 @@ impl Scenario {
                 }
             }
             Experiment::Fig8L3fwd { nic_counts, .. } => {
+                if nic_counts.contains(&0) {
+                    return err("every NIC count must be at least 1".into());
+                }
                 let max = nic_counts.iter().copied().max().unwrap_or(0);
                 if t.nic_rings < max {
                     return err(format!(
@@ -554,7 +575,13 @@ impl Scenario {
                     ));
                 }
             }
-            Experiment::AblationMultiworker { worker_counts, .. } => {
+            Experiment::AblationMultiworker { per_worker_krps, worker_counts, .. } => {
+                if worker_counts.contains(&0) {
+                    return err("every worker count must be at least 1".into());
+                }
+                if !positive(*per_worker_krps) {
+                    return err("the per-worker load must be positive and finite".into());
+                }
                 let max = worker_counts.iter().copied().max().unwrap_or(0);
                 if t.app_cores < max {
                     return err(format!(
@@ -601,6 +628,12 @@ impl Scenario {
         }
         Ok(())
     }
+}
+
+/// A usable rate: the Poisson arrival processes need a positive, finite
+/// mean gap.
+fn positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
 }
 
 #[cfg(test)]

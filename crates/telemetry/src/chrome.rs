@@ -13,7 +13,6 @@ use std::io;
 use std::path::Path;
 
 use crate::event::{Event, Phase};
-use crate::json;
 use crate::recorder::json_string;
 
 /// A group of events that shares one Chrome `pid`. Figure binaries map
@@ -206,8 +205,8 @@ pub struct TraceCheck {
 ///
 /// Returns a description of the first problem found.
 pub fn validate(doc: &str) -> Result<TraceCheck, String> {
-    let root = json::parse(doc)?;
-    let events = json::get(&root, "traceEvents")
+    let root = serde_json::value_from_str(doc).map_err(|e| e.to_string())?;
+    let events = get(&root, "traceEvents")
         .ok_or("missing traceEvents key".to_string())?;
     let serde::Value::Array(events) = events else {
         return Err("traceEvents is not an array".to_string());
@@ -222,23 +221,23 @@ pub fn validate(doc: &str) -> Result<TraceCheck, String> {
     let mut tracks: Vec<(u64, u64)> = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
-        let ph = json::get(ev, "ph")
-            .and_then(json::as_str)
+        let ph = get(ev, "ph")
+            .and_then(as_str)
             .ok_or(format!("event {i}: missing ph"))?;
-        let pid = json::get(ev, "pid")
-            .and_then(json::as_u64)
+        let pid = get(ev, "pid")
+            .and_then(as_u64)
             .ok_or(format!("event {i}: missing pid"))?;
-        let tid = json::get(ev, "tid")
-            .and_then(json::as_u64)
+        let tid = get(ev, "tid")
+            .and_then(as_u64)
             .ok_or(format!("event {i}: missing tid"))?;
-        let name = json::get(ev, "name")
-            .and_then(json::as_str)
+        let name = get(ev, "name")
+            .and_then(as_str)
             .ok_or(format!("event {i}: missing name"))?;
         if ph == "M" {
             continue; // metadata records carry no ts
         }
-        let ts = json::get(ev, "ts")
-            .and_then(json::as_u64)
+        let ts = get(ev, "ts")
+            .and_then(as_u64)
             .ok_or(format!("event {i}: missing ts"))?;
         if !tracks.contains(&(pid, tid)) {
             tracks.push((pid, tid));
@@ -286,6 +285,31 @@ pub fn validate(doc: &str) -> Result<TraceCheck, String> {
     }
     check.tracks = tracks.len();
     Ok(check)
+}
+
+/// Fetches `key` from an object value.
+fn get<'a>(v: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
+    match v {
+        serde::Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Extracts an unsigned integer from a value.
+fn as_u64(v: &serde::Value) -> Option<u64> {
+    match v {
+        serde::Value::UInt(n) => u64::try_from(*n).ok(),
+        serde::Value::Int(n) => u64::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// Extracts a string slice from a value.
+fn as_str(v: &serde::Value) -> Option<&str> {
+    match v {
+        serde::Value::Str(s) => Some(s.as_str()),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

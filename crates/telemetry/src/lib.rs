@@ -37,9 +37,7 @@
 
 pub mod broadcast;
 pub mod chrome;
-pub mod des_probe;
 pub mod event;
-pub mod json;
 pub mod metrics;
 pub mod recorder;
 
@@ -47,7 +45,6 @@ pub use broadcast::{
     BroadcastHub, BroadcastRecorder, BroadcastSubscriber, StreamItem, SubscriberStats,
 };
 pub use chrome::{trace_json, trace_json_grouped, validate, TraceCheck, TraceGroup};
-pub use des_probe::DesProbe;
 pub use event::{Args, Event, Phase, MAX_ARGS};
 pub use metrics::{Gauge, MetricsShard, MetricsSnapshot, Registry};
 pub use recorder::{

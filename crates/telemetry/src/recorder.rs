@@ -357,7 +357,7 @@ mod tests {
             r#"{"ts":5,"actor":2,"ph":"B","name":"span","args":{"k":7}}"#
         );
         for line in doc.lines() {
-            crate::json::parse(line).expect("each line parses as JSON");
+            serde_json::value_from_str(line).expect("each line parses as JSON");
         }
     }
 

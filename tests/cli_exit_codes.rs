@@ -222,3 +222,68 @@ fn thread_count_does_not_change_stdout() {
         String::from_utf8_lossy(&parallel.stdout)
     );
 }
+
+#[test]
+fn zero_counts_and_non_positive_rates_exit_2_with_message() {
+    // Regression: each of these used to reach the model and panic
+    // (exit 101) on an assert or a zero-rate Poisson process.
+    use xui::scenario::registry;
+    use xui::scenario::spec::Experiment;
+
+    type Edit = fn(&mut Experiment);
+    let cases: [(&str, Edit, &str); 8] = [
+        ("fig8_l3fwd", |e| {
+            if let Experiment::Fig8L3fwd { nic_counts, .. } = e {
+                *nic_counts = vec![0];
+            }
+        }, "NIC count"),
+        ("ablation_multiworker", |e| {
+            if let Experiment::AblationMultiworker { worker_counts, .. } = e {
+                *worker_counts = vec![0];
+            }
+        }, "worker count"),
+        ("ablation_multiworker", |e| {
+            if let Experiment::AblationMultiworker { per_worker_krps, .. } = e {
+                *per_worker_krps = 0.0;
+            }
+        }, "per-worker load"),
+        ("mt_tenants", |e| {
+            if let Experiment::MultiTenant { tenant_counts, .. } = e {
+                *tenant_counts = vec![0];
+            }
+        }, "client counts"),
+        ("mt_tenants", |e| {
+            if let Experiment::MultiTenant { clients_per_tenant, .. } = e {
+                *clients_per_tenant = 0;
+            }
+        }, "client counts"),
+        ("mt_tenants", |e| {
+            if let Experiment::MultiTenant { rps_per_client, .. } = e {
+                *rps_per_client = 0.0;
+            }
+        }, "request rate"),
+        ("fig7_rocksdb", |e| {
+            if let Experiment::Fig7Rocksdb { loads_krps, .. } = e {
+                *loads_krps = vec![0.0];
+            }
+        }, "offered load"),
+        ("fig7_rocksdb", |e| {
+            if let Experiment::Fig7Rocksdb { loads_krps, .. } = e {
+                *loads_krps = vec![50.0, -5.0];
+            }
+        }, "offered load"),
+    ];
+    for (i, (preset, edit, needle)) in cases.into_iter().enumerate() {
+        let mut sc = registry::find(preset).expect("preset exists");
+        let before = sc.experiment.clone();
+        edit(&mut sc.experiment);
+        assert_ne!(sc.experiment, before, "case {i}: the edit must apply");
+        let file = tmp_path(&format!("bad-count-{i}.json"));
+        std::fs::write(&file, sc.to_json()).expect("write temp scenario");
+        let out = xui(&["run", file.to_str().expect("utf-8 temp path")]);
+        std::fs::remove_file(&file).ok();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "case {i} ({preset}): {err}");
+        assert!(err.contains(needle), "case {i} ({preset}): {err}");
+    }
+}

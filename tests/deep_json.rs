@@ -1,7 +1,8 @@
 //! Deeply nested JSON is a configuration error, never a crash: the
 //! vendored parser bounds its recursion at `serde_json::MAX_DEPTH`, so
 //! half a megabyte of `[` makes `xui run` exit 2 and `xui serve` answer
-//! 400 and keep serving, where both used to abort on a stack overflow.
+//! 400 and keep serving, and trace validation returns an error, where
+//! all three used to abort on a stack overflow.
 //! Real scenario, sweep and fault-plan documents nest far below the
 //! bound and still parse.
 
@@ -56,6 +57,12 @@ fn run_on_deeply_nested_file_exits_2_with_message() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {err}");
     assert!(err.contains("invalid scenario file"), "{err}");
+    assert!(err.contains("nesting deeper than"), "{err}");
+}
+
+#[test]
+fn trace_validation_rejects_deeply_nested_documents() {
+    let err = xui::telemetry::chrome::validate(&deep_array()).unwrap_err();
     assert!(err.contains("nesting deeper than"), "{err}");
 }
 
@@ -117,7 +124,7 @@ fn real_documents_nest_below_the_limit_and_parse() {
         .delay_every(3, 0, 400)
         .flip_sn(10, 20, true)
         .clamp_ring(1, 0, 1_000, 4)
-        .reorder_completions(3);
+        .reorder_posts(3);
     let json = serde_json::to_string_pretty(&plan).expect("plan serializes");
     assert!(nesting_depth(&json) < serde_json::MAX_DEPTH);
     let back: FaultPlan = serde_json::from_str(&json).expect("plan parses back");
